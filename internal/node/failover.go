@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -155,7 +156,7 @@ func (s *System) CrashNode(node int) {
 			dirty = append(dirty, dirtyPage{page: f.Page, seq: f.SeqNo})
 		}
 	})
-	sort.Slice(dirty, func(i, j int) bool { return pageLess(dirty[i].page, dirty[j].page) })
+	slices.SortFunc(dirty, func(a, b dirtyPage) int { return comparePages(a.page, b.page) })
 	n.pool.DropAll()
 	n.inflight = make(map[model.PageID]uint64)
 	n.raHeld = make(map[model.PageID]bool)
@@ -790,7 +791,7 @@ func (s *System) gemOwnedPages(node int) []model.PageID {
 			pages = append(pages, pg)
 		}
 	})
-	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
+	slices.SortFunc(pages, comparePages)
 	return pages
 }
 
@@ -861,7 +862,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 	var count int64
 	for _, o := range owners {
 		t := s.active[o]
-		for _, page := range sortedLockedPages(t) {
+		for _, page := range sortedPages(t.locked) {
 			g := s.gla.GLA(page)
 			if !parts[g] {
 				continue

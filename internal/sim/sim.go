@@ -346,19 +346,6 @@ func (p *Proc) Join(other *Proc) {
 	p.park()
 }
 
-// Fork runs each fn as a child process and blocks until all have
-// finished. It models parallel sub-operations such as the parallel
-// force-writes at commit.
-func (p *Proc) Fork(name string, fns ...func(p *Proc)) {
-	children := make([]*Proc, len(fns))
-	for i, fn := range fns {
-		children[i] = p.env.Spawn(fmt.Sprintf("%s/%d", name, i), fn)
-	}
-	for _, c := range children {
-		p.Join(c)
-	}
-}
-
 // Run advances the simulation until the event calendar is empty or the
 // clock would pass until. Events scheduled exactly at until still run.
 // It returns an error if any process panicked.

@@ -203,8 +203,8 @@ feed:
 
 // runOne executes one run with panic capture, the wall-clock timeout
 // and bounded retry.
-func (eng *Engine) runOne(r *Run) Result {
-	res := Result{
+func (eng *Engine) runOne(r *Run) (res Result) {
+	res = Result{
 		Key:         r.Key,
 		Group:       r.Group,
 		Fingerprint: r.Fingerprint(),
@@ -212,6 +212,7 @@ func (eng *Engine) runOne(r *Run) Result {
 		Replica:     r.Replica,
 	}
 	start := time.Now()
+	// The named result lets the deferred write reach the caller.
 	defer func() { res.WallMS = float64(time.Since(start).Microseconds()) / 1000 }()
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt

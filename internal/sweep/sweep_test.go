@@ -135,6 +135,21 @@ func TestExecuteDuplicateKeys(t *testing.T) {
 	}
 }
 
+// TestResultWallMS checks that an executed run reports its wall-clock
+// time; fakeExec sleeps 2 ms per attempt.
+func TestResultWallMS(t *testing.T) {
+	runs := fakeRuns(2, 1)
+	results, _, err := Execute(runs, Engine{Jobs: 1, exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if ms := results[r.Key].WallMS; ms < 2 {
+			t.Errorf("%s: WallMS = %v, want at least the 2 ms the run slept", r.Key, ms)
+		}
+	}
+}
+
 func TestPanicCapture(t *testing.T) {
 	runs := fakeRuns(3, 1)
 	boom := func(cfg core.Config) (*core.Report, error) {
