@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gemsim/internal/cc"
+	"gemsim/internal/node"
 )
 
 // enginesMatrix runs the engine comparison once at reduced windows and
@@ -110,6 +113,44 @@ func TestEnginesRestartAccounting(t *testing.T) {
 	hadShare := float64(had.Restarts) / float64(had.Admitted)
 	if hadShare > occShare/10 {
 		t.Errorf("high: HAD restart share %.3f should be <1/10 of OCC's %.3f", hadShare, occShare)
+	}
+}
+
+// TestHADWithoutHotSetIsOCC pins the routing rule behind HAD: without
+// a hot-spot set no page is hot and none is ever locked, so every access
+// takes the optimistic path and HAD must reproduce OCC's metrics field
+// for field (only the engine name differs) under both coupling modes
+// and both update strategies.
+func TestHADWithoutHotSetIsOCC(t *testing.T) {
+	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+		for _, force := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/force=%v", coupling, force), func(t *testing.T) {
+				run := func(kind cc.Kind) node.Metrics {
+					cfg := DefaultDebitCreditConfig(2)
+					cfg.Seed = 5
+					cfg.Coupling = coupling
+					cfg.Force = force
+					cfg.CC = kind
+					rep, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%v: %v", kind, err)
+					}
+					return rep.Metrics
+				}
+				occ, had := run(cc.KindOCC), run(cc.KindHAD)
+				if occ.CCValidations == 0 {
+					t.Fatal("OCC run validated nothing")
+				}
+				had.CCEngine = occ.CCEngine
+				ov, hv := reflect.ValueOf(occ), reflect.ValueOf(had)
+				for i := 0; i < ov.NumField(); i++ {
+					if !reflect.DeepEqual(ov.Field(i).Interface(), hv.Field(i).Interface()) {
+						t.Errorf("%s: OCC %v, HAD %v", ov.Type().Field(i).Name,
+							ov.Field(i).Interface(), hv.Field(i).Interface())
+					}
+				}
+			})
+		}
 	}
 }
 
