@@ -425,4 +425,28 @@ func TestLoadAwareRoutingConfig(t *testing.T) {
 	if r, err2 := ParseRouting("loadaware"); err2 != nil || r != RoutingLoadAware {
 		t.Fatalf("parse loadaware: %v %v", r, err2)
 	}
+
+	// Under PCL with the log on disk the router's status read is the
+	// only GEM user: one entry access per routing decision.
+	for _, routing := range []Routing{RoutingRandom, RoutingLoadAware} {
+		cfg := DefaultDebitCreditConfig(2)
+		cfg.Coupling = CouplingPCL
+		cfg.Routing = routing
+		cfg.Warmup = 500 * time.Millisecond
+		cfg.Measure = time.Second
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &rep.Metrics
+		if m.Commits == 0 {
+			t.Fatalf("%v: no commits", routing)
+		}
+		switch acc := m.GEMEntryAcc; {
+		case routing == RoutingRandom && acc != 0:
+			t.Fatalf("random routing under PCL made %d GEM entry accesses, want 0", acc)
+		case routing == RoutingLoadAware && acc == 0:
+			t.Fatal("load-aware routing under PCL made no GEM entry access")
+		}
+	}
 }

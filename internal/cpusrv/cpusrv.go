@@ -75,31 +75,18 @@ func (c *CPU) RequestExec(instructions float64, done func()) {
 	c.res.Request(c.ServiceTime(instructions), done)
 }
 
-// Acquire claims one processor without releasing it; used for
-// synchronous GEM accesses during which the CPU stays busy.
-func (c *CPU) Acquire(p *sim.Proc) { c.res.Acquire(p) }
-
-// AcquireFn claims one processor on the callback tier: granted runs
-// once a processor is free (synchronously if one is free now). Pair
-// with Release from the continuation.
+// AcquireFn claims one processor without releasing it, for
+// synchronous GEM accesses during which the CPU stays busy: granted
+// runs once a processor is free (synchronously if one is free now).
+// Pair with Release from the continuation.
 func (c *CPU) AcquireFn(granted func()) { c.res.AcquireFn(granted) }
 
-// Release frees a processor claimed with Acquire or AcquireFn.
+// Release frees a processor claimed with AcquireFn.
 func (c *CPU) Release() { c.res.Release() }
 
-// ExecHolding charges instructions while a processor is already held
-// via Acquire.
-func (c *CPU) ExecHolding(p *sim.Proc, instructions float64) {
-	if instructions <= 0 {
-		return
-	}
-	c.instructions += instructions
-	p.Wait(c.ServiceTime(instructions))
-}
-
-// HoldFn charges instructions while a processor is already held — the
-// callback-tier analog of ExecHolding. done fires after the service
-// time elapses, or synchronously for a non-positive demand.
+// HoldFn charges instructions while a processor is already held via
+// AcquireFn. done fires after the service time elapses, or
+// synchronously for a non-positive demand.
 func (c *CPU) HoldFn(instructions float64, done func()) {
 	if instructions <= 0 {
 		done()
@@ -125,9 +112,9 @@ func (c *CPU) Instructions() float64 { return c.instructions }
 
 // Counters returns the processor pool's raw station counters for
 // operational-law validation. Bursts run through Exec/RequestExec
-// carry tracked service demand; hold-style Acquire/ExecHolding
-// composites (GEM accesses) do not, so SvcN < Requests under GEM
-// coupling and the utilization law is gated off there.
+// carry tracked service demand; AcquireFn/HoldFn composites (GEM
+// accesses) do not, so SvcN < Requests under GEM coupling and the
+// utilization law is gated off there.
 func (c *CPU) Counters() sim.Counters { return c.res.Counters() }
 
 // ResetStats discards accumulated statistics.

@@ -68,10 +68,13 @@ func TestAcquireHoldKeepsCPUBusy(t *testing.T) {
 	c := New(env, "cpu", 1, 10)
 	var blockedUntil sim.Time
 	env.Spawn("holder", func(p *sim.Proc) {
-		c.Acquire(p)
-		c.ExecHolding(p, 1000) // 100 µs
-		p.Wait(900 * time.Microsecond)
-		c.Release()
+		cont := p.Continuation()
+		c.AcquireFn(func() {
+			c.HoldFn(1000, func() { // 100 µs
+				cont.ResumeAfter(900*time.Microsecond, c.Release)
+			})
+		})
+		p.Park()
 	})
 	env.Spawn("second", func(p *sim.Proc) {
 		c.Exec(p, 1000)

@@ -6,15 +6,17 @@
 //
 // GEM accesses are synchronous: the accessing CPU stays busy for the
 // queueing plus access time. The caller therefore holds its CPU server
-// around the Access* calls; this package only models the GEM device
-// itself (a single FCFS server by default, as in the paper).
+// around the Access*Fn chain; this package only models the GEM device
+// itself (a single FCFS server by default, as in the paper). Every
+// access runs on the kernel's callback tier and ends in the
+// continuation's resume; a caller with no process to resume passes a
+// zero sim.Continuation.
 package gem
 
 import (
 	"strconv"
 	"time"
 
-	"gemsim/internal/model"
 	"gemsim/internal/sim"
 	"gemsim/internal/trace"
 )
@@ -45,8 +47,7 @@ type GEM struct {
 	pageAccesses  int64
 	entryAccesses int64
 
-	resident map[model.FileID]bool
-	tracer   *trace.Tracer
+	tracer *trace.Tracer
 }
 
 // New creates a GEM device in the given environment.
@@ -55,63 +56,20 @@ func New(env *sim.Env, params Params) *GEM {
 		params.Servers = 1
 	}
 	return &GEM{
-		params:   params,
-		server:   sim.NewResource(env, "gem", params.Servers),
-		resident: make(map[model.FileID]bool),
+		params: params,
+		server: sim.NewResource(env, "gem", params.Servers),
 	}
 }
-
-// AllocateFile marks a database file as GEM-resident.
-func (g *GEM) AllocateFile(id model.FileID) { g.resident[id] = true }
-
-// Resident reports whether the file is GEM-resident.
-func (g *GEM) Resident(id model.FileID) bool { return g.resident[id] }
 
 // SetTracer attaches a span tracer (nil disables tracing). Page
 // accesses and entry-access batches are traced; lone entry accesses are
 // too short-lived to be worth an event each.
 func (g *GEM) SetTracer(t *trace.Tracer) { g.tracer = t }
 
-// AccessPage performs one synchronous page read or write. The calling
-// process is delayed by queueing plus the page access time.
-func (g *GEM) AccessPage(p *sim.Proc) {
-	g.pageAccesses++
-	if g.tracer.Enabled() {
-		start := p.Env().Now()
-		g.server.Use(p, g.params.PageAccess)
-		g.tracer.Span(g.server.Name(), p.TraceID(), "gem", "page", start, p.Env().Now(), "")
-		return
-	}
-	g.server.Use(p, g.params.PageAccess)
-}
-
-// AccessEntry performs one synchronous entry read or Compare&Swap
-// write.
-func (g *GEM) AccessEntry(p *sim.Proc) {
-	g.entryAccesses++
-	g.server.Use(p, g.params.EntryAccess)
-}
-
-// AccessEntries performs n consecutive entry accesses (e.g., read the
-// lock entry, then write it back with Compare&Swap).
-func (g *GEM) AccessEntries(p *sim.Proc, n int) {
-	if g.tracer.Enabled() && n > 0 {
-		start := p.Env().Now()
-		for i := 0; i < n; i++ {
-			g.AccessEntry(p)
-		}
-		g.tracer.Span(g.server.Name(), p.TraceID(), "gem", "entries", start, p.Env().Now(), "n="+strconv.Itoa(n))
-		return
-	}
-	for i := 0; i < n; i++ {
-		g.AccessEntry(p)
-	}
-}
-
-// AccessPageFn performs one page access on the callback tier for a
-// parked process: when the access completes, the server is released,
-// fin runs in kernel context and the process resumes — all in one
-// calendar slot. The caller parks after setting up the chain.
+// AccessPageFn performs one page read or write for a parked process:
+// when the access completes, the server is released, fin runs in
+// kernel context and the process resumes — all in one calendar slot.
+// The caller parks after setting up the chain.
 func (g *GEM) AccessPageFn(c sim.Continuation, fin func()) {
 	g.pageAccesses++
 	if g.tracer.Enabled() {
@@ -129,19 +87,20 @@ func (g *GEM) AccessPageFn(c sim.Continuation, fin func()) {
 	g.server.RequestResume(c, g.params.PageAccess, fin)
 }
 
-// AccessEntryFn performs one entry access on the callback tier for a
-// parked process (untraced, like AccessEntry): when it completes, fin
+// AccessEntryFn performs one entry read or Compare&Swap write for a
+// parked process (untraced, see SetTracer): when it completes, fin
 // runs and the process resumes in the same calendar slot.
 func (g *GEM) AccessEntryFn(c sim.Continuation, fin func()) {
 	g.entryAccesses++
 	g.server.RequestResume(c, g.params.EntryAccess, fin)
 }
 
-// AccessEntriesFn performs n consecutive entry accesses on the callback
-// tier for a parked process; after the last one completes (and its
-// server is released), fin runs and the process resumes, in the same
-// calendar slot. n must be at least 1; the caller parks after setting
-// up the chain.
+// AccessEntriesFn performs n consecutive entry accesses for a parked
+// process (e.g., read the lock entry, then write it back with
+// Compare&Swap); after the last one completes (and its server is
+// released), fin runs and the process resumes, in the same calendar
+// slot. n must be at least 1; the caller parks after setting up the
+// chain.
 func (g *GEM) AccessEntriesFn(c sim.Continuation, n int, fin func()) {
 	if g.tracer.Enabled() {
 		env := g.server.Env()
@@ -171,31 +130,6 @@ func (g *GEM) entryChain(c sim.Continuation, left int, fin func()) {
 	g.server.Request(g.params.EntryAccess, func() {
 		g.entryChain(c, left-1, fin)
 	})
-}
-
-// RequestEntry performs one entry access entirely on the callback tier
-// (no process involved); done fires when it completes.
-func (g *GEM) RequestEntry(done func()) {
-	g.entryAccesses++
-	g.server.Request(g.params.EntryAccess, done)
-}
-
-// RequestPage performs one page access entirely on the callback tier;
-// done fires when it completes.
-func (g *GEM) RequestPage(done func()) {
-	g.pageAccesses++
-	if g.tracer.Enabled() {
-		env := g.server.Env()
-		start := env.Now()
-		inner := done
-		done = func() {
-			g.tracer.Span(g.server.Name(), 0, "gem", "page", start, env.Now(), "")
-			if inner != nil {
-				inner()
-			}
-		}
-	}
-	g.server.Request(g.params.PageAccess, done)
 }
 
 // BusySeconds returns accumulated server-busy seconds since the last

@@ -7,15 +7,22 @@ import (
 	"gemsim/internal/sim"
 )
 
+// accessPage runs one page access for p and parks until it completes.
+func accessPage(g *GEM, p *sim.Proc) {
+	g.AccessPageFn(p.Continuation(), nil)
+	p.Park()
+}
+
 func TestAccessTimes(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
 	var pageAt, entryAt sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
-		g.AccessPage(p)
+		accessPage(g, p)
 		pageAt = env.Now()
-		g.AccessEntry(p)
+		g.AccessEntryFn(p.Continuation(), nil)
+		p.Park()
 		entryAt = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -39,7 +46,7 @@ func TestSingleServerQueueing(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		env.Spawn("u", func(p *sim.Proc) {
-			g.AccessPage(p)
+			accessPage(g, p)
 			ends = append(ends, env.Now())
 		})
 	}
@@ -58,28 +65,37 @@ func TestAccessEntriesCount(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
-	env.Spawn("u", func(p *sim.Proc) { g.AccessEntries(p, 4) })
+	var finAt, resumedAt sim.Time
+	env.Spawn("u", func(p *sim.Proc) {
+		g.AccessEntriesFn(p.Continuation(), 4, func() { finAt = env.Now() })
+		p.Park()
+		resumedAt = env.Now()
+	})
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if g.EntryAccesses() != 4 {
 		t.Fatalf("entry accesses %d, want 4", g.EntryAccesses())
 	}
-	if env.Now() != 8*time.Microsecond {
-		t.Fatalf("clock %v, want 8µs", env.Now())
+	if finAt != 8*time.Microsecond || resumedAt != 8*time.Microsecond {
+		t.Fatalf("fin at %v, resumed at %v, want 8µs", finAt, resumedAt)
 	}
 }
 
-func TestResidentFiles(t *testing.T) {
+func TestCallbackOnlyAccess(t *testing.T) {
+	// A zero Continuation runs the access with no process to resume:
+	// fin still fires once the server is released.
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
-	if g.Resident(1) {
-		t.Fatal("file 1 should not be resident")
+	var pageAt, entryAt sim.Time
+	g.AccessPageFn(sim.Continuation{}, func() { pageAt = env.Now() })
+	g.AccessEntryFn(sim.Continuation{}, func() { entryAt = env.Now() })
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
 	}
-	g.AllocateFile(1)
-	if !g.Resident(1) {
-		t.Fatal("file 1 should be resident")
+	if pageAt != 50*time.Microsecond || entryAt != 52*time.Microsecond {
+		t.Fatalf("page done at %v, entry at %v, want 50µs and 52µs", pageAt, entryAt)
 	}
 }
 
@@ -88,7 +104,7 @@ func TestResetStats(t *testing.T) {
 	defer env.Stop()
 	g := New(env, DefaultParams())
 	env.Spawn("u", func(p *sim.Proc) {
-		g.AccessPage(p)
+		accessPage(g, p)
 		g.ResetStats()
 		p.Wait(time.Millisecond)
 	})
@@ -107,7 +123,7 @@ func TestDefaultServerFallback(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, Params{PageAccess: time.Microsecond, EntryAccess: time.Microsecond})
-	env.Spawn("u", func(p *sim.Proc) { g.AccessPage(p) })
+	env.Spawn("u", func(p *sim.Proc) { accessPage(g, p) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}

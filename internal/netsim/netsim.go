@@ -76,31 +76,22 @@ func DefaultParams() Params {
 // dedicated process.
 type Handler func(p *sim.Proc, from int, msg any)
 
-// SyncStore is a synchronously accessible shared store (GEM) through
-// which messages can be exchanged instead of the interconnection
-// network ("all messages are exchanged across the GEM", section 2 of
-// the paper). The CPU stays busy for the store access.
-type SyncStore interface {
-	AccessEntry(p *sim.Proc)
-	AccessPage(p *sim.Proc)
-}
-
-// ChainStore is optionally implemented by a SyncStore whose accesses
-// can run on the kernel's callback tier: the Fn forms serve a parked
-// process through a continuation, the Request forms need no process at
-// all. When the store supports it, store-based message exchange runs
-// without helper processes.
-type ChainStore interface {
+// Store is a synchronously accessible shared store (GEM) through which
+// messages can be exchanged instead of the interconnection network
+// ("all messages are exchanged across the GEM", section 2 of the
+// paper). The CPU stays busy for the store access. Accesses run on the
+// kernel's callback tier: when one completes, fin runs and the
+// continuation's process (none for a zero Continuation) resumes, in
+// the same calendar slot.
+type Store interface {
 	AccessEntryFn(c sim.Continuation, fin func())
 	AccessPageFn(c sim.Continuation, fin func())
-	RequestEntry(done func())
-	RequestPage(done func())
 }
 
 // StoreTransport configures storage-based message exchange.
 type StoreTransport struct {
 	// Store is the shared memory the messages travel through.
-	Store SyncStore
+	Store Store
 	// ShortInstr and LongInstr are the CPU overheads per send or
 	// receive operation; storage-based communication avoids the
 	// network protocol stack, so they are far below the 5000/8000
@@ -284,70 +275,55 @@ func (n *Network) sendViaStore(p *sim.Proc, from, to int, c Class, msg any) {
 	if c == Long {
 		instr = t.LongInstr
 	}
-	cs, chained := t.Store.(ChainStore)
-	sender := n.endpoints[from].cpu
-	if chained {
-		// Deposit as one callback chain: cpu, held burst, store access,
-		// release — the sender parks once for the whole composite.
-		cont := p.Continuation()
-		sender.AcquireFn(func() {
-			sender.HoldFn(instr, func() {
-				if c == Long {
-					cs.AccessPageFn(cont, sender.Release)
-				} else {
-					cs.AccessEntryFn(cont, sender.Release)
-				}
-			})
-		})
-		p.Park()
-	} else {
-		sender.Acquire(p)
-		sender.ExecHolding(p, instr)
-		n.storeAccess(p, c)
-		sender.Release()
-	}
+	// The sender parks once for the whole deposit.
+	n.storeChain(n.endpoints[from].cpu, c, instr, p.Continuation(), nil)
+	p.Park()
 	ep := n.endpoints[to]
 	n.env.After(0, func() {
 		if n.downCheck != nil && n.downCheck(to) {
 			n.dropped++
 			return
 		}
-		if chained && ep.inline != nil && ep.inline(msg) {
+		if ep.inline != nil && ep.inline(msg) {
 			// Callback-tier pickup: the extra hop takes the slot the
 			// receive process used to start in.
 			n.env.After(0, func() {
-				ep.cpu.AcquireFn(func() {
-					ep.cpu.HoldFn(instr, func() {
-						access := cs.RequestEntry
-						if c == Long {
-							access = cs.RequestPage
-						}
-						access(func() {
-							ep.cpu.Release()
-							ep.handler(nil, from, msg)
-						})
-					})
+				n.storeChain(ep.cpu, c, instr, sim.Continuation{}, func() {
+					ep.handler(nil, from, msg)
 				})
 			})
 			return
 		}
 		n.env.Spawn("recv", func(q *sim.Proc) {
-			ep.cpu.Acquire(q)
-			ep.cpu.ExecHolding(q, instr)
-			n.storeAccess(q, c)
-			ep.cpu.Release()
+			n.storeChain(ep.cpu, c, instr, q.Continuation(), nil)
+			q.Park()
 			ep.handler(q, from, msg)
 		})
 	})
 }
 
-// storeAccess performs the store operation matching the message class.
-func (n *Network) storeAccess(p *sim.Proc, c Class) {
-	if c == Long {
-		n.transport.Store.AccessPage(p)
-		return
-	}
-	n.transport.Store.AccessEntry(p)
+// storeChain runs one side of a store exchange as a single callback
+// chain: acquire a processor of cpu, hold it for instr, access the
+// store (entry for short messages, page for long ones), then release
+// the processor and run fin (if non-nil) before cont's process (if
+// any) resumes, all in the access's completion slot.
+func (n *Network) storeChain(cpu *cpusrv.CPU, c Class, instr float64, cont sim.Continuation, fin func()) {
+	cpu.AcquireFn(func() {
+		cpu.HoldFn(instr, func() {
+			done := cpu.Release
+			if fin != nil {
+				done = func() {
+					cpu.Release()
+					fin()
+				}
+			}
+			if c == Long {
+				n.transport.Store.AccessPageFn(cont, done)
+			} else {
+				n.transport.Store.AccessEntryFn(cont, done)
+			}
+		})
+	})
 }
 
 // ShortSent returns the number of short messages sent since ResetStats.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gemsim/internal/cpusrv"
+	"gemsim/internal/gem"
 	"gemsim/internal/rng"
 	"gemsim/internal/sim"
 )
@@ -219,28 +220,28 @@ func TestDownReceiverDropsAtDelivery(t *testing.T) {
 	}
 }
 
-// fakeStore counts synchronous store accesses and advances time like a
-// GEM device would.
-type fakeStore struct {
-	env     *sim.Env
-	entries int
-	pages   int
+// storeNet wires two single-CPU nodes that exchange messages through
+// a GEM device (1000/1500 instructions per short/long store operation,
+// i.e. 100/150 µs at 10 MIPS; 2 µs entry and 50 µs page accesses).
+// Node 0 ignores messages; node 1 runs h.
+func storeNet(env *sim.Env, h Handler) (*Network, *gem.GEM, []*cpusrv.CPU) {
+	n := New(env, DefaultParams(), 2)
+	g := gem.New(env, gem.DefaultParams())
+	n.UseStore(&StoreTransport{Store: g, ShortInstr: 1000, LongInstr: 1500})
+	cpus := []*cpusrv.CPU{
+		cpusrv.New(env, "cpu0", 1, 10),
+		cpusrv.New(env, "cpu1", 1, 10),
+	}
+	n.Register(0, cpus[0], func(p *sim.Proc, from int, msg any) {})
+	n.Register(1, cpus[1], h)
+	return n, g, cpus
 }
-
-func (f *fakeStore) AccessEntry(p *sim.Proc) { f.entries++; p.Wait(2 * time.Microsecond) }
-func (f *fakeStore) AccessPage(p *sim.Proc)  { f.pages++; p.Wait(50 * time.Microsecond) }
 
 func TestStoreTransportShort(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
-	n := New(env, DefaultParams(), 2)
-	store := &fakeStore{env: env}
-	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
-	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
-	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 	var handlerAt sim.Time
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
+	n, g, _ := storeNet(env, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -251,8 +252,8 @@ func TestStoreTransportShort(t *testing.T) {
 	if handlerAt != want {
 		t.Fatalf("handler at %v, want %v", handlerAt, want)
 	}
-	if store.entries != 2 {
-		t.Fatalf("entry accesses %d, want 2", store.entries)
+	if g.EntryAccesses() != 2 {
+		t.Fatalf("entry accesses %d, want 2", g.EntryAccesses())
 	}
 	if n.ShortSent() != 1 {
 		t.Fatalf("short count %d", n.ShortSent())
@@ -262,19 +263,13 @@ func TestStoreTransportShort(t *testing.T) {
 func TestStoreTransportLongUsesPageAccess(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
-	n := New(env, DefaultParams(), 2)
-	store := &fakeStore{env: env}
-	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
-	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
-	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) {})
+	n, g, _ := storeNet(env, func(p *sim.Proc, from int, msg any) {})
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if store.pages != 2 {
-		t.Fatalf("page accesses %d, want 2", store.pages)
+	if g.PageAccesses() != 2 {
+		t.Fatalf("page accesses %d, want 2", g.PageAccesses())
 	}
 }
 
@@ -282,15 +277,11 @@ func TestStoreTransportFasterThanNetwork(t *testing.T) {
 	run := func(useStore bool) sim.Time {
 		env := sim.NewEnv()
 		defer env.Stop()
-		n := New(env, DefaultParams(), 2)
-		if useStore {
-			n.UseStore(&StoreTransport{Store: &fakeStore{env: env}, ShortInstr: 1000, LongInstr: 1500})
-		}
-		cpu0 := cpusrv.New(env, "cpu0", 1, 10)
-		cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 		var at sim.Time
-		n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-		n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { at = env.Now() })
+		n, _, _ := storeNet(env, func(p *sim.Proc, from int, msg any) { at = env.Now() })
+		if !useStore {
+			n.UseStore(nil) // back to message passing
+		}
 		env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 		if err := env.RunUntilIdle(); err != nil {
 			t.Fatal(err)
@@ -300,5 +291,72 @@ func TestStoreTransportFasterThanNetwork(t *testing.T) {
 	net, store := run(false), run(true)
 	if store >= net {
 		t.Fatalf("store transport (%v) must beat the network (%v)", store, net)
+	}
+}
+
+// TestStoreTransportReceiverQueues pins the queued hand-off on the
+// receive path: a message that arrives while the receiver's only CPU
+// is busy waits for it, then holds it for the pickup burst and the
+// store access.
+func TestStoreTransportReceiverQueues(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	var handlerAt sim.Time
+	var handlerProc *sim.Proc
+	n, g, cpus := storeNet(env, func(p *sim.Proc, from int, msg any) {
+		handlerAt, handlerProc = env.Now(), p
+	})
+	// Node 1 is busy for 500 µs from time zero; the message is
+	// deposited at 102 µs.
+	env.Spawn("busy", func(p *sim.Proc) { cpus[1].Exec(p, 5000) })
+	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if handlerProc == nil {
+		t.Fatal("non-inline message must be handled in a process")
+	}
+	// Pickup starts when the CPU frees at 500 µs: 100 µs burst, 2 µs
+	// entry.
+	if want := 602 * time.Microsecond; handlerAt != want {
+		t.Fatalf("handler at %v, want %v", handlerAt, want)
+	}
+	if w := cpus[1].MeanWait(); w != (500-102)*time.Microsecond/2 {
+		t.Fatalf("receiver mean CPU wait %v, want 199µs (one 398µs wait over two requests)", w)
+	}
+	if g.EntryAccesses() != 2 {
+		t.Fatalf("entry accesses %d, want 2", g.EntryAccesses())
+	}
+}
+
+// TestStoreTransportInlinePickup checks the callback-tier pickup: an
+// inline message is read out of the store and handled with no process,
+// on the same timeline as a process pickup.
+func TestStoreTransportInlinePickup(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	calls := 0
+	var handlerAt sim.Time
+	n, g, _ := storeNet(env, func(p *sim.Proc, from int, msg any) {
+		if p != nil {
+			t.Error("inline handler must run without a process")
+		}
+		calls++
+		handlerAt = env.Now()
+	})
+	n.RegisterInline(1, func(msg any) bool { return true })
+	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("handler ran %d times, want 1", calls)
+	}
+	// Sender and receiver: 150 µs CPU + 50 µs page access each.
+	if want := 2 * (150 + 50) * time.Microsecond; handlerAt != want {
+		t.Fatalf("handler at %v, want %v", handlerAt, want)
+	}
+	if g.PageAccesses() != 2 {
+		t.Fatalf("page accesses %d, want 2", g.PageAccesses())
 	}
 }

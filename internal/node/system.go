@@ -198,11 +198,10 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	}
 
 	// Storage allocation: one disk group per disk-backed file; GEM
-	// resident files are registered with the GEM device.
+	// resident files need none.
 	for i := range db.Files {
 		f := &db.Files[i]
 		if f.Medium == model.MediumGEM {
-			s.gemDev.AllocateFile(f.ID)
 			continue
 		}
 		disks := params.DefaultDisksPerFile

@@ -12,10 +12,10 @@ import (
 // must be identical between the two structures.
 type refHeap []*event
 
-func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return evLess(h[i], h[j]) }
-func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)         { *h = append(*h, x.(*event)) }
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return evLess(h[i], h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(*event)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -6,8 +6,9 @@
 // function fires at its calendar slot and must not block. Memoryless
 // work (service completions, queue hand-offs, message deliveries) lives
 // here; it costs one pooled calendar entry and a function call. The
-// entry points are Env.After/Env.At, Timer, and the callback side of
-// Resource (AcquireFn, Request, RequestResume).
+// entry points are Env.After/Env.At, Timer, and Resource, whose
+// service stations run on this tier only (AcquireFn, Request,
+// RequestResume; Use is RequestResume plus a park).
 //
 // Tier 2 — processes — are goroutines for model code that genuinely
 // blocks with state (transaction logic, recovery sequences). The kernel
@@ -23,12 +24,11 @@
 // bookkeeping and unpark the waiting transaction process exactly once,
 // instead of bouncing through helper processes.
 //
-// The process-tier primitives are the classic DES set: Spawn to create
-// a process, Proc.Wait to let simulated time pass, Resource for
-// k-server FCFS queueing stations with utilization accounting,
-// Semaphore for counted admission control, Mailbox for process
-// communication, and Park/Unpark for building condition-style waits
-// (lock tables, page transfers).
+// The process-tier primitives are Spawn to create a process, Proc.Wait
+// to let simulated time pass, Semaphore for counted admission control,
+// and Park/Unpark for building condition-style waits (lock tables,
+// page transfers). A process that needs a queueing station hands the
+// station a Continuation and parks once for the whole service chain.
 package sim
 
 import (
@@ -200,7 +200,6 @@ type Proc struct {
 	yielded chan struct{} // proc -> kernel: blocked or finished
 	gen     int64         // incremented at every resume; stale wake events are dropped
 	done    bool
-	joiner  *Proc
 	traceID int64 // transaction id for the trace layer; 0 outside transactions
 }
 
@@ -254,11 +253,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 	}
 	p.done = true
 	delete(p.env.live, p)
-	if p.joiner != nil {
-		j := p.joiner
-		p.joiner = nil
-		p.env.schedule(p.env.now, j, nil)
-	}
 	p.yielded <- struct{}{}
 }
 
@@ -318,8 +312,14 @@ func (p *Proc) Continuation() Continuation {
 // Proc returns the process the continuation belongs to.
 func (c Continuation) Proc() *Proc { return c.p }
 
-// TraceID returns the pinned process's current transaction id.
-func (c Continuation) TraceID() int64 { return c.p.traceID }
+// TraceID returns the pinned process's current transaction id, or
+// zero for a zero Continuation (a chain with no process to resume).
+func (c Continuation) TraceID() int64 {
+	if c.p == nil {
+		return 0
+	}
+	return c.p.traceID
+}
 
 // ResumeAfter schedules a combined event after delay d: fn runs in
 // kernel context and then the process resumes — both within the same
@@ -331,19 +331,6 @@ func (c Continuation) ResumeAfter(d Time, fn func()) {
 	env := c.p.env
 	ev := env.schedule(env.now+d, c.p, fn)
 	ev.gen = c.gen
-}
-
-// Join blocks the calling process until other has finished. At most one
-// process may join another.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	if other.joiner != nil {
-		panic("sim: second joiner on process " + other.name)
-	}
-	other.joiner = p
-	p.park()
 }
 
 // Run advances the simulation until the event calendar is empty or the

@@ -119,41 +119,6 @@ func TestStaleWakeIsDropped(t *testing.T) {
 	env.Stop()
 }
 
-func TestJoin(t *testing.T) {
-	env := NewEnv()
-	var joined Time
-	env.Spawn("parent", func(p *Proc) {
-		child := env.Spawn("child", func(c *Proc) { c.Wait(3 * time.Millisecond) })
-		p.Join(child)
-		joined = env.Now()
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 3*time.Millisecond {
-		t.Fatalf("join at %v", joined)
-	}
-	env.Stop()
-}
-
-func TestJoinFinishedChildReturnsImmediately(t *testing.T) {
-	env := NewEnv()
-	var at Time
-	env.Spawn("parent", func(p *Proc) {
-		child := env.Spawn("child", func(c *Proc) {})
-		p.Wait(time.Millisecond) // let the child finish first
-		p.Join(child)
-		at = env.Now()
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if at != time.Millisecond {
-		t.Fatalf("join returned at %v", at)
-	}
-	env.Stop()
-}
-
 func TestProcPanicSurfacesAsError(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("boom", func(p *Proc) { panic("kaput") })
@@ -301,62 +266,6 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 	if s.MaxQueue() != 4 {
 		t.Fatalf("max queue %d, want 4", s.MaxQueue())
-	}
-	env.Stop()
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	env := NewEnv()
-	m := NewMailbox(env, "m")
-	var got []int
-	env.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			v, ok := m.Get(p).(int)
-			if !ok {
-				t.Error("non-int in mailbox")
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	env.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Wait(time.Millisecond)
-			m.Put(i)
-		}
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v", got)
-		}
-	}
-	env.Stop()
-}
-
-func TestMailboxBuffersWithoutConsumer(t *testing.T) {
-	env := NewEnv()
-	m := NewMailbox(env, "m")
-	env.Spawn("producer", func(p *Proc) {
-		m.Put(1)
-		m.Put(2)
-	})
-	env.Spawn("late", func(p *Proc) {
-		p.Wait(time.Millisecond)
-		if v := m.Get(p); v != 1 {
-			t.Errorf("got %v want 1", v)
-		}
-		if v := m.Get(p); v != 2 {
-			t.Errorf("got %v want 2", v)
-		}
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("mailbox len %d", m.Len())
 	}
 	env.Stop()
 }

@@ -9,7 +9,7 @@ import (
 // TestStopLeaksNoGoroutines is the leak regression test for Env.Stop:
 // after stopping an environment whose processes are blocked in every
 // way the kernel supports — plain Park, pending Wait timers, resource
-// queues, semaphore admission, mailbox receives — the process goroutine
+// queues, semaphore admission — the process goroutine
 // count must return to its pre-run level. A leak here would accumulate
 // across the thousands of environments a parameter sweep creates.
 func TestStopLeaksNoGoroutines(t *testing.T) {
@@ -18,14 +18,10 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, "r", 1)
 	sem := NewSemaphore(env, "mpl", 1)
-	m := NewMailbox(env, "m")
 
 	// Holders pin the resource and the semaphore so later arrivals
 	// stay queued when the run horizon is reached.
-	env.Spawn("rholder", func(p *Proc) {
-		r.Acquire(p)
-		p.Park()
-	})
+	r.AcquireFn(func() {}) // never released
 	env.Spawn("sholder", func(p *Proc) {
 		sem.Acquire(p)
 		p.Park()
@@ -33,7 +29,6 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		env.Spawn("rwait", func(p *Proc) { r.Use(p, time.Millisecond) })
 		env.Spawn("swait", func(p *Proc) { sem.Acquire(p); sem.Release() })
-		env.Spawn("mwait", func(p *Proc) { m.Get(p) })
 		env.Spawn("parked", func(p *Proc) { p.Park() })
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
 	}

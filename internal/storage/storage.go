@@ -89,14 +89,12 @@ type Group struct {
 	// injection): requests arriving earlier first wait it out.
 	stallUntil sim.Time
 
-	reads        int64
-	writes       int64
-	readHits     int64
-	writesAbsorb int64
-	destages     int64
-	readLatency  stats.Series
-	writeLatency stats.Series
-	tracer       *trace.Tracer
+	reads       int64
+	writes      int64
+	readHits    int64
+	destages    int64
+	readLatency stats.Series
+	tracer      *trace.Tracer
 }
 
 // NewGroup creates a disk group.
@@ -211,8 +209,6 @@ func (g *Group) Write(p *sim.Proc, page model.PageID) (absorbed bool) {
 		g.controllers.Request(g.params.ControllerTime, func() {
 			cont.ResumeAfter(g.params.TransferTime, func() {
 				g.insert(page, true)
-				g.writesAbsorb++
-				g.writeLatency.AddDuration(g.env.Now() - start)
 				if g.tracer.Enabled() {
 					g.traceIO(p, "write", start, page, true)
 				}
@@ -227,7 +223,6 @@ func (g *Group) Write(p *sim.Proc, page model.PageID) (absorbed bool) {
 						// readable.
 						g.insert(page, false)
 					}
-					g.writeLatency.AddDuration(g.env.Now() - start)
 					if g.tracer.Enabled() {
 						g.traceIO(p, "write", start, page, false)
 					}
@@ -298,12 +293,6 @@ func (g *Group) WriteServiceTime(absorbed bool) time.Duration {
 	return d
 }
 
-// ControllerCounters returns the controllers' raw station counters.
-func (g *Group) ControllerCounters() sim.Counters { return g.controllers.Counters() }
-
-// ControllerUtilization returns the utilization of the controllers.
-func (g *Group) ControllerUtilization() float64 { return g.controllers.Utilization() }
-
 // Reads returns the number of page reads since the last ResetStats.
 func (g *Group) Reads() int64 { return g.reads }
 
@@ -324,14 +313,10 @@ func (g *Group) Destages() int64 { return g.destages }
 // MeanReadLatency returns the mean read latency including queueing.
 func (g *Group) MeanReadLatency() time.Duration { return g.readLatency.MeanDuration() }
 
-// MeanWriteLatency returns the mean write latency including queueing.
-func (g *Group) MeanWriteLatency() time.Duration { return g.writeLatency.MeanDuration() }
-
 // ResetStats discards accumulated statistics.
 func (g *Group) ResetStats() {
 	g.controllers.ResetStats()
 	g.disks.ResetStats()
-	g.reads, g.writes, g.readHits, g.writesAbsorb, g.destages = 0, 0, 0, 0, 0
+	g.reads, g.writes, g.readHits, g.destages = 0, 0, 0, 0
 	g.readLatency.Reset()
-	g.writeLatency.Reset()
 }

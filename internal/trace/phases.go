@@ -76,8 +76,8 @@ func (p *Phases) Reset() {
 
 // Breakdown aggregates phase times over committed transactions.
 type Breakdown struct {
-	N   int64                   // committed transactions observed
-	RT  time.Duration           // summed response time
+	N   int64                    // committed transactions observed
+	RT  time.Duration            // summed response time
 	Sum [NumPhases]time.Duration // summed per-phase time, incl. residual
 }
 
