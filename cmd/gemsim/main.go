@@ -320,8 +320,9 @@ func printDetails(rep *core.Report) {
 		m.InvalidationsPerTxn, m.PageRequestsPerTxn, m.MeanPageReqDelay)
 	fmt.Printf("storage                 reads %d  writes %d  force writes %d  log writes %d\n",
 		m.StorageReads, m.StorageWrites, m.ForceWrites, m.LogWrites)
-	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)\n",
-		rep.KernelEvents, rep.KernelEventsPerSec)
+	k := &rep.Kernel
+	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)  spawns %d  goroutines %d  resumes %d  switches %d\n",
+		rep.KernelEvents, rep.KernelEventsPerSec, k.Spawns, k.Goroutines, k.Resumes, k.Switches)
 	if m.TxnsKilled > 0 || m.TxnsRetried > 0 || m.LockTimeouts > 0 ||
 		m.MessagesDropped > 0 || len(m.Failovers) > 0 {
 		fmt.Printf("faults                  killed %d  retried %d  lock timeouts %d  messages dropped %d\n",

@@ -41,6 +41,9 @@ func TestPooledClosedLoop(t *testing.T) {
 	if rep.KernelEvents == 0 {
 		t.Fatal("KernelEvents not accounted")
 	}
+	if k := rep.Kernel; k.Spawns == 0 || k.Resumes < k.Spawns || k.Switches == 0 {
+		t.Fatalf("kernel stats not accounted: %+v", k)
+	}
 }
 
 // TestPooledClosedLoopDeterministic checks that two pooled runs of the
@@ -56,10 +59,10 @@ func TestPooledClosedLoopDeterministic(t *testing.T) {
 	}
 	if a.Metrics.Commits != b.Metrics.Commits ||
 		a.Metrics.MeanResponseTime != b.Metrics.MeanResponseTime ||
-		a.KernelEvents != b.KernelEvents {
-		t.Fatalf("pooled runs diverged: %d/%v/%d vs %d/%v/%d",
-			a.Metrics.Commits, a.Metrics.MeanResponseTime, a.KernelEvents,
-			b.Metrics.Commits, b.Metrics.MeanResponseTime, b.KernelEvents)
+		a.KernelEvents != b.KernelEvents || a.Kernel != b.Kernel {
+		t.Fatalf("pooled runs diverged: %d/%v/%d/%+v vs %d/%v/%d/%+v",
+			a.Metrics.Commits, a.Metrics.MeanResponseTime, a.KernelEvents, a.Kernel,
+			b.Metrics.Commits, b.Metrics.MeanResponseTime, b.KernelEvents, b.Kernel)
 	}
 }
 

@@ -31,6 +31,10 @@ type Report struct {
 	// wall-clock time — the kernel's simulation speed. Wall-clock
 	// derived, so never deterministic and never part of result tables.
 	KernelEventsPerSec float64
+	// Kernel counts the kernel's process-tier work over the measured
+	// interval: spawns, worker goroutines started, resumes and
+	// goroutine switches. Like KernelEvents it lives outside Metrics.
+	Kernel sim.KernelStats
 }
 
 // Run executes one configuration and returns its report. The run is
@@ -115,7 +119,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	sys.ResetStats()
-	evBase := env.Dispatched()
+	evBase, kBase := env.Dispatched(), env.KernelStats()
 	wallStart := time.Now()
 	if err := env.Run(cfg.Warmup + cfg.Measure); err != nil {
 		return nil, err
@@ -127,6 +131,7 @@ func Run(cfg Config) (*Report, error) {
 	metrics := sys.Snapshot()
 	rep := &Report{Config: cfg, Metrics: metrics}
 	rep.KernelEvents = env.Dispatched() - evBase
+	rep.Kernel = env.KernelStats().Sub(kBase)
 	if wall > 0 {
 		rep.KernelEventsPerSec = float64(rep.KernelEvents) / wall.Seconds()
 	}

@@ -5,8 +5,10 @@ import (
 	"time"
 )
 
-// BenchmarkProcessHandoff measures the cost of one schedule/park/resume
-// cycle — the kernel's fundamental operation.
+// BenchmarkProcessHandoff measures one schedule/park/resume cycle of a
+// lone process — the kernel's no-switch path: the parking process runs
+// the event loop itself, finds its own resume and returns without a
+// goroutine switch.
 func BenchmarkProcessHandoff(b *testing.B) {
 	env := NewEnv()
 	defer env.Stop()
@@ -23,6 +25,60 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	}
 	if !done {
 		b.Fatal("spinner did not finish")
+	}
+}
+
+// BenchmarkProcessSwitch measures a resume that switches goroutines:
+// two processes alternate their Waits, so every park hands control to
+// the other process's goroutine.
+func BenchmarkProcessSwitch(b *testing.B) {
+	env := NewEnv()
+	defer env.Stop()
+	per := b.N/2 + 1
+	resumes := 0
+	body := func(p *Proc) {
+		for i := 0; i < per; i++ {
+			p.Wait(2 * time.Microsecond)
+			resumes++
+		}
+	}
+	env.Spawn("ping", body)
+	env.SpawnAfter(time.Microsecond, "pong", body)
+	b.ResetTimer()
+	if err := env.RunUntilIdle(); err != nil {
+		b.Fatal(err)
+	}
+	if resumes < b.N {
+		b.Fatalf("resumed %d of %d", resumes, b.N)
+	}
+}
+
+// BenchmarkSpawn measures a process lifetime: a callback spawns a
+// process that waits once and finishes, so steady state reuses one
+// worker goroutine and allocates only the Proc.
+func BenchmarkSpawn(b *testing.B) {
+	env := NewEnv()
+	defer env.Stop()
+	finished := 0
+	body := func(p *Proc) {
+		p.Wait(time.Microsecond)
+		finished++
+	}
+	left := b.N
+	var spawn func()
+	spawn = func() {
+		env.Spawn("child", body)
+		if left--; left > 0 {
+			env.After(2*time.Microsecond, spawn)
+		}
+	}
+	env.After(0, spawn)
+	b.ResetTimer()
+	if err := env.RunUntilIdle(); err != nil {
+		b.Fatal(err)
+	}
+	if finished != b.N {
+		b.Fatalf("finished %d of %d", finished, b.N)
 	}
 }
 

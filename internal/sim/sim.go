@@ -11,10 +11,14 @@
 // RequestResume; Use is RequestResume plus a park).
 //
 // Tier 2 — processes — are goroutines for model code that genuinely
-// blocks with state (transaction logic, recovery sequences). The kernel
-// guarantees that at most one process runs at any instant: kernel and
-// processes hand control to each other over unbuffered channels, so
-// model code needs no locking and runs deterministically.
+// blocks with state (transaction logic, recovery sequences). Exactly one
+// goroutine holds control at any instant, so model code needs no
+// locking and runs deterministically. The event loop itself runs on
+// whichever goroutine holds control: a parking process pops events
+// until one resumes a process, then passes control straight to that
+// process's goroutine over one unbuffered channel (or keeps it, if the
+// resumed process is itself). Processes run on a pool of reused worker
+// goroutines, so a spawn starts a goroutine only when no worker is idle.
 //
 // Both tiers share one event calendar ordered by (at, seq) with ties
 // broken by insertion order, so mixing them preserves determinism. A
@@ -33,6 +37,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -67,8 +72,10 @@ type event struct {
 }
 
 // Env is a simulation environment: an event calendar, a clock and the
-// set of live processes. An Env must be used from a single goroutine
-// (the one calling Run); model code runs inside processes spawned on it.
+// set of live processes. Its state is touched only by the goroutine
+// that holds control — the Run caller or the running process — and
+// control passes between goroutines by channel operations, so an Env
+// needs no locking. Model code runs inside processes spawned on it.
 type Env struct {
 	now        Time
 	seq        int64
@@ -76,14 +83,40 @@ type Env struct {
 	free       []*event // recycled event records
 	dispatched int64
 	live       map[*Proc]struct{}
+	idle       []*worker     // workers whose process finished, LIFO
+	ret        chan struct{} // control back to the Run or Stop caller
+	until      Time          // horizon of the current Run
+	bounded    bool          // false under RunUntilIdle
 	stopping   bool
 	panicked   any
+	stats      KernelStats
+}
+
+// KernelStats counts the kernel's own work on the process tier. Like
+// Dispatched, the counts are deterministic: identical runs count
+// identical work.
+type KernelStats struct {
+	Spawns     int64 // processes created
+	Goroutines int64 // worker goroutines started; the other spawns reused an idle worker
+	Resumes    int64 // process resumes, each process's start included
+	Switches   int64 // hand-offs of control from one goroutine to another
+}
+
+// Sub returns the counts accumulated since an earlier snapshot b.
+func (s KernelStats) Sub(b KernelStats) KernelStats {
+	return KernelStats{
+		Spawns:     s.Spawns - b.Spawns,
+		Goroutines: s.Goroutines - b.Goroutines,
+		Resumes:    s.Resumes - b.Resumes,
+		Switches:   s.Switches - b.Switches,
+	}
 }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
 	return &Env{
 		live: make(map[*Proc]struct{}),
+		ret:  make(chan struct{}),
 	}
 }
 
@@ -97,6 +130,10 @@ func (e *Env) Pending() int { return e.events.total() }
 // environment was created. It is a deterministic kernel-work measure:
 // identical runs dispatch identical event counts.
 func (e *Env) Dispatched() int64 { return e.dispatched }
+
+// KernelStats reports the process-tier work counted since the
+// environment was created.
+func (e *Env) KernelStats() KernelStats { return e.stats }
 
 // LiveCount reports the number of live (spawned, not yet finished)
 // processes.
@@ -192,15 +229,24 @@ func (e *Env) At(at Time, fn func()) {
 type stopSignal struct{}
 
 // Proc is a simulation process. All blocking primitives must be called
-// by the process itself (from the function passed to Spawn).
+// by the process itself (from the function passed to Spawn). Every
+// spawn creates a fresh Proc even when its worker goroutine is reused,
+// so a handle to a finished process stays Done and ignores Unpark.
 type Proc struct {
 	env     *Env
 	name    string
-	resume  chan bool     // kernel -> proc; value: stopped
-	yielded chan struct{} // proc -> kernel: blocked or finished
-	gen     int64         // incremented at every resume; stale wake events are dropped
+	w       *worker // the goroutine running this process
+	gen     int64   // incremented at every resume; stale wake events are dropped
 	done    bool
 	traceID int64 // transaction id for the trace layer; 0 outside transactions
+}
+
+// worker is a goroutine that runs processes one after another. Between
+// processes it sits in Env.idle.
+type worker struct {
+	wake chan bool   // control hand-off; true asks the worker to unwind
+	proc *Proc       // the process the worker runs next
+	fn   func(*Proc) // its body
 }
 
 // Env returns the environment the process runs in.
@@ -226,44 +272,91 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, fn)
 }
 
-// SpawnAfter creates a new process executing fn, starting after delay d.
+// SpawnAfter creates a new process executing fn, starting after delay
+// d. The process runs on an idle worker goroutine if there is one.
 func (e *Env) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan bool), yielded: make(chan struct{})}
+	var w *worker
+	if n := len(e.idle); n > 0 {
+		w = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		w = &worker{wake: make(chan bool)}
+		e.stats.Goroutines++
+		go e.work(w)
+	}
+	p := &Proc{env: e, name: name, w: w}
+	w.proc, w.fn = p, fn
+	e.stats.Spawns++
 	e.live[p] = struct{}{}
-	go p.run(fn)
 	e.schedule(e.now+d, p, nil)
 	return p
 }
 
-// run is the top-level body of a process goroutine.
-func (p *Proc) run(fn func(p *Proc)) {
-	stopped := <-p.resume
-	p.gen++
-	if !stopped {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(stopSignal); !ok {
-						p.env.panicked = fmt.Sprintf("process %q: %v", p.name, r)
-					}
-				}
-			}()
-			fn(p)
-		}()
+// work is the body of a worker goroutine. Each wake starts the
+// worker's assigned process. When that process returns, the worker
+// joins the idle list and runs the event loop itself: it continues in
+// place if the loop starts the process a spawn just gave it, and
+// otherwise hands control on and waits for its next wake.
+func (e *Env) work(w *worker) {
+	for !<-w.wake {
+		for {
+			w.proc.run(w.fn)
+			w.proc, w.fn = nil, nil
+			if e.stopping {
+				e.ret <- struct{}{}
+				return
+			}
+			e.idle = append(e.idle, w)
+			next := e.loop()
+			if next == nil || next.w != w {
+				e.handOff(next)
+				break
+			}
+		}
 	}
-	p.done = true
-	delete(p.env.live, p)
-	p.yielded <- struct{}{}
+	e.ret <- struct{}{} // acknowledge Stop
 }
 
-// park blocks the calling process until the kernel resumes it.
+// run executes the process body, turning a panic into the Env's error.
+func (p *Proc) run(fn func(p *Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopSignal); !ok {
+				p.env.panicked = fmt.Sprintf("process %q: %v", p.name, r)
+			}
+		}
+		p.done = true
+		delete(p.env.live, p)
+	}()
+	fn(p)
+}
+
+// park blocks the calling process until the kernel resumes it. The
+// process runs the event loop itself; if the loop resumes the process
+// it returns without a goroutine switch.
 func (p *Proc) park() {
-	p.yielded <- struct{}{}
-	stopped := <-p.resume
-	p.gen++
-	if stopped {
+	e := p.env
+	next := e.loop()
+	if next == p {
+		return
+	}
+	e.handOff(next)
+	if <-p.w.wake {
 		panic(stopSignal{})
 	}
+}
+
+// handOff passes control to p's worker, or back to the Run caller when
+// p is nil. The caller must not touch Env state afterwards until
+// control comes back to it.
+func (e *Env) handOff(p *Proc) {
+	e.stats.Switches++
+	if p == nil {
+		e.ret <- struct{}{}
+		return
+	}
+	p.w.wake <- false
 }
 
 // Park blocks the calling process until another process or a kernel
@@ -335,7 +428,7 @@ func (c Continuation) ResumeAfter(d Time, fn func()) {
 
 // Run advances the simulation until the event calendar is empty or the
 // clock would pass until. Events scheduled exactly at until still run.
-// It returns an error if any process panicked.
+// It returns an error if a process or a kernel callback panicked.
 func (e *Env) Run(until Time) error {
 	if err := e.drain(until, true); err != nil {
 		return err
@@ -351,31 +444,59 @@ func (e *Env) RunUntilIdle() error {
 	return e.drain(0, false)
 }
 
-// drain is the single event-extraction site shared by Run and
-// RunUntilIdle: pop the minimum (at, seq) event, advance the clock,
-// dispatch, recycle. When bounded, events past until stay queued.
+// drain runs the event loop from the Run caller. If the loop resumes a
+// process, control travels from goroutine to goroutine until some loop
+// stops and hands it back. When bounded, events past until stay queued.
 func (e *Env) drain(until Time, bounded bool) error {
-	for {
-		ev := e.events.pop(until, bounded)
+	e.until, e.bounded = until, bounded
+	if next := e.loop(); next != nil {
+		e.handOff(next)
+		<-e.ret
+	}
+	if e.panicked != nil {
+		return fmt.Errorf("sim: %v", e.panicked)
+	}
+	return nil
+}
+
+// loop is the single event-extraction site. It runs on whichever
+// goroutine holds control: pop the minimum (at, seq) event, advance the
+// clock, dispatch, recycle — until an event resumes a process, which it
+// returns. It returns nil when the calendar empties, the next event
+// lies past the horizon, or a panic was recorded. A panicking callback
+// is recovered here, whichever goroutine runs the loop, and becomes
+// Run's error.
+func (e *Env) loop() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = fmt.Sprintf("kernel callback at %v: %v\n%s", e.now, r, debug.Stack())
+			next = nil
+		}
+	}()
+	for e.panicked == nil {
+		ev := e.events.pop(e.until, e.bounded)
 		if ev == nil {
 			return nil
 		}
 		e.now = ev.at
 		e.dispatched++
-		e.dispatch(ev)
+		next = e.dispatch(ev)
 		e.recycle(ev)
-		if e.panicked != nil {
-			return fmt.Errorf("sim: %v", e.panicked)
+		if next != nil {
+			next.gen++
+			e.stats.Resumes++
+			return next
 		}
 	}
+	return nil
 }
 
 // dispatch fires one event: the kernel callback runs first (if any),
-// then control is handed to the process (if any and still at the
-// scheduled generation) until it yields. Running both halves in one
-// slot lets a service chain's final completion release its station and
-// resume the waiting process without an extra calendar hop.
-func (e *Env) dispatch(ev *event) {
+// then it returns the process to resume (if any and still at the
+// scheduled generation). Running both halves in one slot lets a
+// service chain's final completion release its station and resume the
+// waiting process without an extra calendar hop.
+func (e *Env) dispatch(ev *event) *Proc {
 	switch ev.kind {
 	case evComplete:
 		// Service completion: release before the user callback, the
@@ -383,29 +504,27 @@ func (e *Env) dispatch(ev *event) {
 		ev.res.Release()
 	case evHandoff:
 		ev.res.handoff()
-		return
+		return nil
 	case evTimer:
 		t := ev.timer
 		if t.armed && t.gen == ev.gen {
 			t.armed = false
 			t.fn()
 		}
-		return
+		return nil
 	}
 	if ev.fn != nil {
 		ev.fn()
 	}
-	if ev.proc != nil {
-		if ev.proc.done || ev.gen != ev.proc.gen {
-			return // stale wake: the process moved on since this was scheduled
-		}
-		ev.proc.resume <- false
-		<-ev.proc.yielded
+	if p := ev.proc; p != nil && !p.done && ev.gen == p.gen {
+		return p
 	}
+	return nil // no process, or a stale wake: the process moved on
 }
 
-// Stop terminates all live processes by unwinding them, so that no
-// goroutines leak after a run. The environment must not be used again.
+// Stop terminates all live processes by unwinding them, then ends every
+// idle worker, so that no goroutine outlives the environment. The
+// environment must not be used again.
 func (e *Env) Stop() {
 	e.stopping = true
 	for len(e.live) > 0 {
@@ -415,8 +534,14 @@ func (e *Env) Stop() {
 			break
 		}
 		delete(e.live, p)
-		p.resume <- true
-		<-p.yielded
+		p.w.wake <- true
+		<-e.ret
+		p.done = true
 	}
+	for _, w := range e.idle {
+		w.wake <- true
+		<-e.ret
+	}
+	e.idle = nil
 	e.events = calendar{}
 }

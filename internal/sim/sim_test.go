@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -122,10 +123,65 @@ func TestStaleWakeIsDropped(t *testing.T) {
 func TestProcPanicSurfacesAsError(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("boom", func(p *Proc) { panic("kaput") })
-	if err := env.RunUntilIdle(); err == nil {
+	err := env.RunUntilIdle()
+	if err == nil {
 		t.Fatal("expected error from panicking process")
 	}
+	if want := `sim: process "boom": kaput`; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
 	env.Stop()
+}
+
+// A panicking callback becomes Run's error, naming the sim time and
+// carrying the stack, whichever goroutine ran the event loop: the Run
+// caller, or a process that parked.
+func TestCallbackPanicSurfacesAsError(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(env *Env)
+		frame string // a stack frame proving which goroutine ran the loop
+	}{
+		{
+			name:  "on the Run caller",
+			setup: func(env *Env) {},
+			frame: "sim.(*Env).drain",
+		},
+		{
+			name: "inside a parked process",
+			setup: func(env *Env) {
+				env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
+			},
+			frame: "sim.(*Proc).park",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Stop()
+			tc.setup(env)
+			fired := false
+			env.After(3*time.Millisecond, func() { panic("kaput") })
+			env.After(4*time.Millisecond, func() { fired = true })
+			err := env.Run(time.Second)
+			if err == nil {
+				t.Fatal("expected error from panicking callback")
+			}
+			msg := err.Error()
+			if want := "sim: kernel callback at 3ms: kaput\n"; !strings.HasPrefix(msg, want) {
+				t.Fatalf("error %q, want prefix %q", msg, want)
+			}
+			if !strings.Contains(msg, tc.frame) {
+				t.Fatalf("stack lacks %s:\n%s", tc.frame, msg)
+			}
+			if fired {
+				t.Fatal("the loop ran on after the panic")
+			}
+			if env.Now() != 3*time.Millisecond {
+				t.Fatalf("clock %v, want 3ms", env.Now())
+			}
+		})
+	}
 }
 
 func TestStopUnwindsParkedProcesses(t *testing.T) {

@@ -9,9 +9,11 @@ import (
 // TestStopLeaksNoGoroutines is the leak regression test for Env.Stop:
 // after stopping an environment whose processes are blocked in every
 // way the kernel supports — plain Park, pending Wait timers, resource
-// queues, semaphore admission — the process goroutine
-// count must return to its pre-run level. A leak here would accumulate
-// across the thousands of environments a parameter sweep creates.
+// queues, semaphore admission — or have finished and left their worker
+// goroutine idle, or have not started because their start lies past
+// the horizon, the goroutine count must return to its pre-run level. A
+// leak here would accumulate across the thousands of environments a
+// parameter sweep creates.
 func TestStopLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -31,11 +33,19 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 		env.Spawn("swait", func(p *Proc) { sem.Acquire(p); sem.Release() })
 		env.Spawn("parked", func(p *Proc) { p.Park() })
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
+		env.Spawn("finished", func(p *Proc) { p.Wait(time.Millisecond) })
+		env.SpawnAfter(time.Hour, "unstarted", func(p *Proc) {})
 	}
 	if err := env.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if len(env.idle) == 0 {
+		t.Fatal("expected idle workers at the horizon")
+	}
 	env.Stop()
+	if len(env.idle) != 0 {
+		t.Fatalf("%d idle workers left after Stop", len(env.idle))
+	}
 
 	// Stop synchronizes with each process's unwind, but the goroutine
 	// itself exits just after its final yield; give the runtime a
